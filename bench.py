@@ -5,13 +5,13 @@ Plain run: one JSON line
    "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
    "turns": N, "turns_per_sec": N}
 
---scaling: runs the headline twice in FRESH processes at
-RAY_GRAFT_CPUS=8 and =32 on the same input (the north rule's N vs 4N
-cluster-size criterion, evidenced by parallelism levels in-sandbox)
-and reports both throughputs + scaling efficiency = (T32/T8)/4.
+--scaling: runs the headline twice in FRESH processes at the two
+RAY_GRAFT_CPUS levels of GRAFT_SCALE_CPUS (default "2,8", the N vs 4N
+parallelism levels) on the same input and reports both throughputs +
+scaling efficiency = (T_lo/T_hi)/(hi/lo).
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
-     RAY_GRAFT_CPUS (default 32).
+     RAY_GRAFT_CPUS (default: the usable cores, the CPU affinity).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
 # per-query bench set (subset of __ray_entry__.queries keeping total runtime sane)
 BENCH_QUERIES = [

@@ -2371,7 +2371,10 @@ def q_orders_per_nation_native(sf_dir: str):
         lambda t: t.select(["c_custkey", "c_nationkey"])
                    .rename_columns(["custkey", "c_nationkey"]),
         batch_format="pyarrow")
-    joined = native_join(orders, customer, on=["custkey"], num_partitions=16)
+    # Ray reserves ~0.9 GiB of logical memory per join partition (it
+    # sizes each as a full 128 MB block): 16 partitions ask 14 GiB, more
+    # than a 15 GB host offers, and the join waits forever for them
+    joined = native_join(orders, customer, on=["custkey"], num_partitions=4)
 
     import pyarrow.parquet as pq
 
@@ -7276,9 +7279,11 @@ def q_unigram_lm_check(sf_dir: str):
     n_chars = sum(1 for s in logp if len(s) == 1)
     vocab_ok = int(len(logp) <= max(200, n_chars))
 
+    # an autoscaling pool: a fixed 4-actor pool holds every CPU of a
+    # 4-core cluster, so the read feeding it never schedules (deadlock)
     enc = ds.map_batches(UnigramEncoder,
                          fn_constructor_args=(ray.put(logp), MAXLEN),
-                         batch_format="pyarrow", concurrency=4)
+                         batch_format="pyarrow", concurrency=(1, 4))
     agg = enc.map_batches(
         lambda t: pa.table({
             "n_docs": pa.array([t.num_rows], pa.int64()),

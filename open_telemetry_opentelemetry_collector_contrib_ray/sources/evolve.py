@@ -53,7 +53,9 @@ def read_parquet_evolved(groups: Sequence[tuple],
     """Read ``groups`` of ``(paths, rename_map)`` parquet file groups —
     one group per historical schema version — normalizing every group
     onto ``target`` and unioning into one Dataset.  Column pruning is
-    pushed into each group's read via the inverse rename map."""
+    pushed into each group's read via the inverse rename map; a target
+    column missing from any file of a group is null-filled for that
+    whole group."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -61,11 +63,14 @@ def read_parquet_evolved(groups: Sequence[tuple],
     for paths, rename in groups:
         ren = dict(rename or {})
         inv = {v: k for k, v in ren.items()}
-        # source columns that map into the target, intersected with the
-        # group's file schema (read_parquet(columns=) errors on absent
-        # names) — the prune happens AT THE READ, not after
+        # source columns that map into the target, intersected with
+        # EVERY file schema of the group (read_parquet(columns=) errors
+        # on a name absent from any file; a column some file lacks reads
+        # as typed nulls for the group) — footer reads only, and the
+        # prune happens AT THE READ, not after
         plist = [paths] if isinstance(paths, str) else list(paths)
-        have = set(pq.read_schema(plist[0]).names)
+        have = set.intersection(*(set(pq.read_schema(p).names)
+                                  for p in plist))
         keep = [inv.get(name, name) for name in target.names
                 if inv.get(name, name) in have]
         ds = rd.read_parquet(plist, columns=keep, **read_kwargs)

@@ -28,6 +28,7 @@ server that writes the fixture lines in ``batch``-line sends.
 
 from __future__ import annotations
 
+import codecs
 import socket
 import threading
 from collections.abc import Sequence
@@ -42,7 +43,9 @@ def serve_lines_tcp(lines: Sequence[str], batch: int = 100,
     """Start a localhost replay server on an ephemeral port: every
     connection receives ``lines`` newline-terminated in ``batch``-line
     sends (the testbed TCPUDPWriter shape), then the connection closes.
-    Returns ``(port, stop_event)``; set the event to stop serving."""
+    A client that disconnects early only ends its own replay; later
+    connections are still served.  Returns ``(port, stop_event)``; set
+    the event to stop serving."""
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     srv.bind((host, 0))
@@ -61,8 +64,11 @@ def serve_lines_tcp(lines: Sequence[str], batch: int = 100,
                 except socket.timeout:
                     continue
                 with conn:
-                    for p in payloads:
-                        conn.sendall(p)
+                    try:
+                        for p in payloads:
+                            conn.sendall(p)
+                    except (BrokenPipeError, ConnectionResetError):
+                        pass  # this client left early; serve the next
         finally:
             srv.close()
 
@@ -86,7 +92,10 @@ def _drain_stream(read_chunk, max_records: int | None, block_lines: int,
     """Drain a byte stream (socket/FIFO) to EOF or ``max_records``
     entries with NewlineSplitFunc semantics; the unterminated trailing
     partial is an entry (bufio.Scanner's EOF token) unless the cap hit
-    first.  Returns block-sized Arrow tables (at least one)."""
+    first.  Bytes decode incrementally, so a multibyte character split
+    across two chunks is kept whole (a stream that ENDS mid-character
+    raises UnicodeDecodeError).  Returns block-sized Arrow tables (at
+    least one)."""
     tables: list[pa.Table] = []
     rows: list[str] = []
     done = False
@@ -95,12 +104,14 @@ def _drain_stream(read_chunk, max_records: int | None, block_lines: int,
         tables.append(pa.table({"text": pa.array(rows, pa.string())}))
         rows.clear()
 
+    decoder = codecs.getincrementaldecoder(encoding)()
     partial = ""
     while not done:
         data = read_chunk()
         if not data:
+            decoder.decode(b"", final=True)
             break
-        toks, partial = _split_stream(partial + data.decode(encoding))
+        toks, partial = _split_stream(partial + decoder.decode(data))
         for t in toks:
             rows.append(t)
             if max_records is not None \

@@ -261,33 +261,14 @@ def grouped_agg(ds, keys: Sequence[str], specs: Sequence[AggSpec],
 
 def _bucket_combine(partial, keys: Sequence[str], specs: Sequence[AggSpec],
                     n_buckets: int, coalesce: bool = True):
-    """Shared combine phase over __p_-named partial rows: hash-bucket by
-    key, ONE shuffle, one vectorized _merge_partials per bucket.  Used by
+    """Shared combine phase over __p_-named partial rows: ONE bucketed
+    shuffle by key, one vectorized _merge_partials per bucket.  Used by
     grouped_agg(combine='bucket') and sliding_window_agg so the two
     cannot drift."""
-    from .sample import bucket_column
-
     keys = list(keys)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__bucket", bucket_column(t, n_buckets, keys))
-
-    bucketed = partial.map_batches(add_bucket, batch_format="pyarrow")
-    if coalesce:
-        # coalesce before the sort shuffle: Ray's sort-based groupby
-        # degrades ~45x when fed hundreds of tiny blocks (920 blocks:
-        # 92s for a 6M-row exchange; repartition(32) first: 2s).
-        # SKIP for huge unshrunk partials (e.g. whole-corpus dedup
-        # text keys): there the extra linear pass outweighs the
-        # block-count win — callers pass coalesce=False.
-        bucketed = bucketed.repartition(n_buckets)
-
-    def merge_bucket(t: pa.Table) -> pa.Table:
-        t = t.select([c for c in t.column_names if c != "__bucket"])
-        return _merge_partials(t, keys, specs)
-
-    return bucketed.groupby("__bucket").map_groups(
-        merge_bucket, batch_format="pyarrow")
+    return bucketed_group_transform(
+        partial, keys, lambda t: _merge_partials(t, keys, specs), n_buckets,
+        batch_format="pyarrow", coalesce=coalesce)
 
 
 def grouped_count(ds, keys: Sequence[str], conditions: Sequence[str] | None = None,
@@ -683,18 +664,6 @@ def recombine(ds, group_col: str = "conv_id", order_col: str = "turn_idx",
     order) then ''.join per group) — not one python call per
     conversation.  This mirrors groupbytrace's worker sharding by
     trace-id hash (processor.go:27-41)."""
-    from .sample import bucket_column
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__bucket",
-                               bucket_column(t.column(group_col), n_buckets))
-
-    # coalesce before the sort shuffle (same fix as _bucket_combine):
-    # Ray's sort-based groupby degrades ~45x on hundreds of tiny input
-    # blocks — measured on the 92-file sf1 corpus: 307s without this
-    # repartition, 23s with it, identical output
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .repartition(n_buckets)
 
     def stitch_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([group_col, order_col], kind="stable")
@@ -733,8 +702,7 @@ def recombine(ds, group_col: str = "conv_id", order_col: str = "turn_idx",
             out["last_ts"] = None
         return out.reset_index().rename(columns={"index": group_col})
 
-    return bucketed.groupby("__bucket").map_groups(arrow_out(stitch_bucket),
-                                                   batch_format="pandas")
+    return bucketed_group_transform(ds, [group_col], stitch_bucket, n_buckets)
 
 
 def recombine_multiline(ds, source_col: str, order_col: str,
@@ -872,15 +840,9 @@ def recombine_salted(ds, group_col: str = "conv_id", order_col: str = "turn_idx"
     This is the north rule's "explicit salting of hot conversations".
     """
 
-    from .sample import bucket_column
-
     def add_salt(t: pa.Table) -> pa.Table:
         salt = pc.cast(pc.divide(t.column(order_col), salt_rows), pa.int32())
-        t = t.append_column("_salt", salt)
-        # phase-1 shuffle key: hash(group, salt) — a hot conversation's
-        # segments land on DIFFERENT reducers (the whole point of salting)
-        b = bucket_column(t, 64, [group_col, "_salt"])
-        return t.append_column("__b1", b)
+        return t.append_column("_salt", salt)
 
     def stitch_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized across ALL (group, salt) segments in the bucket
@@ -921,13 +883,13 @@ def recombine_salted(ds, group_col: str = "conv_id", order_col: str = "turn_idx"
         return out.reset_index()
 
     final_cols = [group_col, out_col, "n_turns", "first_ts", "last_ts"]
-    # coalesce before the phase-1 sort shuffle (same block-count fix as
-    # recombine/_bucket_combine)
-    salted = ds.map_batches(add_salt, batch_format="pyarrow").repartition(64)
-    # materialize the segments so the single/multi split below reads them
-    # once instead of re-running phase 1 per consumer
-    segments = salted.groupby("__b1").map_groups(
-        arrow_out(stitch_bucket), batch_format="pandas").materialize()
+    salted = ds.map_batches(add_salt, batch_format="pyarrow")
+    # phase-1 shuffle key: (group, salt) — a hot conversation's segments
+    # land on DIFFERENT reducers (the whole point of salting).  Materialize
+    # the segments so the single/multi split below reads them once
+    # instead of re-running phase 1 per consumer
+    segments = bucketed_group_transform(
+        salted, [group_col, "_salt"], stitch_bucket, 64).materialize()
 
     singles = segments.map_batches(
         lambda t: t.filter(pc.invert(pc.fill_null(t.column("__multi"), False)))
@@ -938,27 +900,36 @@ def recombine_salted(ds, group_col: str = "conv_id", order_col: str = "turn_idx"
         batch_format="pyarrow")
     # the merge exchange now moves ONLY multi-segment conversations (the
     # hot ones + full salt windows) — a tiny fraction of the segments
-    multi = multi.map_batches(
-        lambda t: t.append_column("__b2", bucket_column(t.column(group_col), 64)),
-        batch_format="pyarrow").repartition(64)
-    merged = multi.groupby("__b2").map_groups(arrow_out(merge_bucket),
-                                              batch_format="pandas")
+    merged = bucketed_group_transform(multi, [group_col], merge_bucket, 64)
     merged = merged.map_batches(lambda t: t.select(final_cols),
                                 batch_format="pyarrow")
     return singles.union(merged)
 
 
 def bucketed_group_transform(ds, key_cols: Sequence[str], fn,
-                             n_buckets: int = 64):
-    """ONE bucketed shuffle + ONE vectorized pandas call per bucket.
+                             n_buckets: int = 64, batch_format: str = "pandas",
+                             coalesce: bool = True):
+    """ONE bucketed shuffle + ONE vectorized call per bucket — the
+    package's only hash-bucket exchange (keyed operators shard through
+    here, the way the reference shards groupbytrace by trace-id hash
+    and logdedup by record hash).
 
     The scale-safe replacement for `groupby(key).map_groups(fn_per_key)`:
     a plain Dataset.groupby invokes the Python callback once PER KEY
     (100M users = 100M pandas calls), while here rows shuffle once by
-    hash(key) % n_buckets and `fn` runs once per bucket over ALL its
-    keys — `fn` must therefore be vectorized across keys
-    (pandas groupby().cumsum()/diff()/shift(), not a per-key loop).
-    Same pattern that took recombine_salted from 32s to 2.8s at sf0.1."""
+    `bucket_column(key_cols) % n_buckets` and `fn` runs once per bucket
+    over ALL its keys (every row of a key arrives in ONE call) — `fn`
+    must therefore be vectorized across keys (pandas
+    groupby().cumsum()/diff()/shift(), not a per-key loop).  Same
+    pattern that took recombine_salted from 32s to 2.8s at sf0.1.
+
+    batch_format is fn's: "pandas" (DataFrame in, DataFrame out; the
+    output becomes a metadata-free Arrow block with null-typed columns
+    repaired) or "pyarrow" (Table in, Table out, passed through).
+    coalesce=False skips the repartition(n_buckets) before the sort
+    shuffle — only for huge unshrunk inputs (whole-corpus dedup text
+    keys), where that extra linear pass outweighs its block-count win.
+    fn never sees the internal `__bucket` column."""
     from .sample import bucket_column
 
     key_cols = list(key_cols)
@@ -967,10 +938,17 @@ def bucketed_group_transform(ds, key_cols: Sequence[str], fn,
         return t.append_column("__bucket", bucket_column(t, n_buckets, key_cols))
 
     bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
-    # coalesce before the sort shuffle (see grouped_agg bucket combine)
-    bucketed = bucketed.repartition(n_buckets)
+    if coalesce:
+        # coalesce before the sort shuffle: Ray's sort-based groupby
+        # degrades ~45x when fed hundreds of tiny blocks (920 blocks:
+        # 92s for a 6M-row exchange; repartition(32) first: 2s; the
+        # 92-file sf1 recombine: 307s without it, 23s with it)
+        bucketed = bucketed.repartition(n_buckets)
 
-    def run(g: pd.DataFrame) -> pa.Table:
+    def run_arrow(g: pa.Table) -> pa.Table:
+        return fn(g.drop_columns(["__bucket"]))
+
+    def run_pandas(g: pd.DataFrame) -> pa.Table:
         out = fn(g.drop(columns="__bucket"))
         # hand Arrow blocks (not pandas) to the downstream plan: Arrow
         # schemas are hashable (Ray's schema dedup works), shuffle via
@@ -1000,7 +978,9 @@ def bucketed_group_transform(ds, key_cols: Sequence[str], fn,
             t = t.cast(pa.schema(fields))
         return t
 
-    return bucketed.groupby("__bucket").map_groups(run, batch_format="pandas")
+    run = {"pandas": run_pandas, "pyarrow": run_arrow}[batch_format]
+    return bucketed.groupby("__bucket").map_groups(run,
+                                                   batch_format=batch_format)
 
 
 def grouped_ntile(ds, key_cols: Sequence[str], order_cols: Sequence[str],

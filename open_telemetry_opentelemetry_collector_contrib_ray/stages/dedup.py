@@ -30,6 +30,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import arrow_out, bucketed_group_transform
+
 _MERSENNE = (1 << 61) - 1
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -165,21 +167,6 @@ def minhash_lsh_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     exploded = sigs.map_batches(_BandsWithSig(num_perm, bands, id_col),
                                 batch_format="pyarrow")
 
-    # shuffle by hash-bucket of the band key, NOT one group per band:
-    # inside a bucket, singleton bands are dropped vectorized and only the
-    # (rare) multi-doc bands loop — thousands of python calls become ~16
-    def add_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("__bucket", pa.array([], pa.int32()))
-        h = np.asarray(t.column("band_hash"), dtype=np.uint64)
-        b = np.asarray(t.column("band_id"), dtype=np.uint64)
-        return t.append_column(
-            "__bucket", pa.array(((h ^ (b * np.uint64(0x9E3779B97F4A7C15))) % 16)
-                                 .astype(np.int32)))
-
-    bucketed = exploded.map_batches(add_bucket, batch_format="pyarrow") \
-        .repartition(16)  # coalesce: sort-groupby degrades on many tiny blocks
-
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                               "doc_b": pd.Series([], dtype="int64"),
@@ -205,10 +192,11 @@ def minhash_lsh_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                     est.append(float(eq[j]))
         return pd.DataFrame({"doc_a": out_a, "doc_b": out_b, "est_jaccard": est})
 
-    from .aggregate import arrow_out
-
-    cand = bucketed.groupby("__bucket").map_groups(arrow_out(pairs_in_bucket),
-                                                   batch_format="pandas")
+    # shuffle by hash-bucket of the band key, NOT one group per band:
+    # inside a bucket, singleton bands are dropped vectorized and only the
+    # (rare) multi-doc bands loop — thousands of python calls become ~16
+    cand = bucketed_group_transform(exploded, ["band_id", "band_hash"],
+                                    pairs_in_bucket, 16)
     return _dedupe_pairs(cand)
 
 
@@ -228,26 +216,14 @@ class _BandsWithSig(BandExploder):
                 pa.array(rep.reshape(-1), type=pa.uint64()), sigs.shape[1]))
 
 
-def _dedupe_pairs(cand, n_buckets: int = 16):
+def _dedupe_pairs(cand, pair: Sequence[str] = ("doc_a", "doc_b"),
+                  n_buckets: int = 16):
     """A pair can surface from several bands/chunks: drop duplicates with
     one bucketed shuffle + a vectorized drop_duplicates per bucket (never
     one python call per pair)."""
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("doc_a"), dtype=np.uint64) if t.num_rows else \
-            np.zeros(0, np.uint64)
-        return t.append_column("__bucket", pa.array((a % n_buckets).astype(np.int32)))
-
-    bucketed = cand.map_batches(add_bucket, batch_format="pyarrow") \
-        .repartition(n_buckets)  # coalesce before the sort shuffle
-
-    def dedupe(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(subset=["doc_a", "doc_b"]).drop(columns="__bucket")
-
-    from .aggregate import arrow_out
-
-    return bucketed.groupby("__bucket").map_groups(arrow_out(dedupe),
-                                                   batch_format="pandas")
+    pair = list(pair)
+    return bucketed_group_transform(
+        cand, pair[:1], lambda g: g.drop_duplicates(subset=pair), n_buckets)
 
 
 # ------------------------------------------------------------------ simhash
@@ -316,23 +292,6 @@ def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 
     exploded = sigs.map_batches(explode, batch_format="pyarrow")
 
-    # shuffle by hash-bucket of the chunk key, NOT one Ray group per
-    # (chunk_id, chunk_val): a 16-bit chunk space makes tens of
-    # thousands of 1-2-row groups and map_groups pays per-group python
-    # overhead for every one — inside a bucket, singleton chunks drop
-    # vectorized and only multi-doc chunks loop (the minhash idiom)
-    def add_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("__bucket", pa.array([], pa.int32()))
-        v = np.asarray(t.column("chunk_val"), dtype=np.uint64)
-        c = np.asarray(t.column("chunk_id"), dtype=np.uint64)
-        return t.append_column(
-            "__bucket", pa.array(((v ^ (c * np.uint64(0x9E3779B97F4A7C15)))
-                                  % 16).astype(np.int32)))
-
-    bucketed = exploded.map_batches(add_bucket, batch_format="pyarrow") \
-        .repartition(16)
-
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                               "doc_b": pd.Series([], dtype="int64"),
@@ -369,10 +328,13 @@ def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({"doc_a": out_a, "doc_b": out_b,
                              "hamming": ham})
 
-    from .aggregate import arrow_out
-
-    cand = bucketed.groupby("__bucket").map_groups(
-        arrow_out(pairs_in_bucket), batch_format="pandas")
+    # shuffle by hash-bucket of the chunk key, NOT one Ray group per
+    # (chunk_id, chunk_val): a 16-bit chunk space makes tens of
+    # thousands of 1-2-row groups and map_groups pays per-group python
+    # overhead for every one — inside a bucket, singleton chunks drop
+    # vectorized and only multi-doc chunks loop (the minhash idiom)
+    cand = bucketed_group_transform(exploded, ["chunk_id", "chunk_val"],
+                                    pairs_in_bucket, 16)
     return _dedupe_pairs(cand)
 
 
@@ -636,8 +598,6 @@ def embedding_neardup_pairs(ds, id_col: str = "vec_id", emb_col: str = "embeddin
         return pd.DataFrame({"id_a": ids[ia[hit]], "id_b": ids[ib[hit]],
                              "cosine": sims[ia[hit], ib[hit]]})
 
-    from .aggregate import arrow_out
-
     return buckets.groupby("bucket").map_groups(arrow_out(pairs),
                                                 batch_format="pandas")
 
@@ -714,18 +674,6 @@ def minhash_pairs_against(new_ds, ref_ds, id_col: str = "doc_id",
 
     both = sigs(new_ds, 1).union(sigs(ref_ds, 0))
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("__bucket", pa.array([], pa.int32()))
-        h = np.asarray(t.column("band_hash"), dtype=np.uint64)
-        b = np.asarray(t.column("band_id"), dtype=np.uint64)
-        return t.append_column(
-            "__bucket", pa.array(((h ^ (b * np.uint64(0x9E3779B97F4A7C15)))
-                                  % 16).astype(np.int32)))
-
-    bucketed = both.map_batches(add_bucket, batch_format="pyarrow") \
-        .repartition(16)
-
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"new_id": pd.Series([], dtype="int64"),
                               "ref_id": pd.Series([], dtype="int64"),
@@ -766,19 +714,10 @@ def minhash_pairs_against(new_ds, ref_ds, id_col: str = "doc_id",
                              "est_jaccard": np.asarray(est,
                                                        dtype=np.float64)})
 
-    from .aggregate import arrow_out
-
-    cand = bucketed.groupby("__bucket").map_groups(
-        arrow_out(pairs_in_bucket), batch_format="pandas")
-    # a pair can surface from several bands — reuse the bucketed
-    # pair-dedup with its (doc_a, doc_b) column contract
-    cand = cand.map_batches(
-        lambda t: t.rename_columns(["doc_a", "doc_b", "est_jaccard"]),
-        batch_format="pyarrow")
-    out = _dedupe_pairs(cand)
-    return out.map_batches(
-        lambda t: t.rename_columns(["new_id", "ref_id", "est_jaccard"]),
-        batch_format="pyarrow")
+    cand = bucketed_group_transform(both, ["band_id", "band_hash"],
+                                    pairs_in_bucket, 16)
+    # a pair can surface from several bands — reuse the bucketed pair-dedup
+    return _dedupe_pairs(cand, ("new_id", "ref_id"))
 
 
 def minhash_dedup_against(new_ds, ref_ds, id_col: str = "doc_id",
@@ -834,7 +773,6 @@ def cluster_keep_best(clusters_ds, docs_ds, priority_col: str,
                           ascending=[False, True], kind="stable")
         return g.groupby("cluster_id", sort=False, dropna=False).head(1)
 
-    from .aggregate import bucketed_group_transform
     from .join import _pa_schema
 
     out = bucketed_group_transform(labeled, ["cluster_id"], best, n_buckets)
@@ -867,7 +805,6 @@ def semdedup_flags(ds, centroids: np.ndarray, threshold: float = 0.9,
 
     Returns Dataset(id, cluster_id, keep).
     """
-    from .aggregate import arrow_out
     from .cluster import kmeans_assign
 
     assigned = kmeans_assign(ds, centroids, vec_col=emb_col)

@@ -27,7 +27,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .sample import bucket_column
+from .aggregate import arrow_out, bucketed_group_transform
 
 
 def _pa_schema(ds) -> pa.Schema:
@@ -76,8 +76,6 @@ def bucketed_hash_join(left, right, on: Sequence[str], how: str = "inner",
         # hook's "all rows of a key in one call" contract
         if reduce is None or deg.schema() is None:
             return deg
-        from .aggregate import bucketed_group_transform
-
         return bucketed_group_transform(deg, on, reduce, n_buckets)
 
     deg = _degenerate_side(left, right, how)
@@ -94,23 +92,15 @@ def bucketed_hash_join(left, right, on: Sequence[str], how: str = "inner",
             # filter emptied the side after the first degenerate check)
             return finish_degenerate(
                 left if how == "anti" else left.limit(0))
-    # padding to one union schema (typed nulls) + hashing AFTER the cast to
-    # the unified key types keeps every block's schema identical and makes an
-    # int32 key bucket like its int64 twin; the repartition coalesces because
-    # Ray's sort shuffle degrades on many tiny blocks
-    tagged, left_cols, right_cols = _tag_union(left, right, on, n_buckets)
+    # padding to one union schema (typed nulls) keeps every block's schema
+    # identical, and bucketing AFTER the cast to the unified key types makes
+    # an int32 key bucket like its int64 twin
+    tagged, left_cols, right_cols = _tag_union(left, right)
 
-    def _reduced(out: pa.Table):
-        # the reduce hook is pandas-shaped; re-emit a metadata-free
-        # Arrow block (hashable schema, IPC exchange — same discipline
-        # as arrow_out)
-        red = reduce(out.to_pandas())
-        if isinstance(red, pd.DataFrame):
-            return pa.Table.from_pandas(red, preserve_index=False) \
-                           .replace_schema_metadata(None)
-        return red
+    # the reduce hook is pandas-shaped; re-emit a metadata-free Arrow block
+    _reduced = arrow_out(lambda out: reduce(out.to_pandas()))
 
-    def merge(g: pa.Table) -> pa.Table | pd.DataFrame:  # noqa: D401
+    def merge(g: pa.Table) -> pa.Table:
         # Arrow-native in-bucket join via index-take composition: only
         # the KEY columns + int64 row indices go through the Acero hash
         # join; payload columns are gathered afterwards with take().
@@ -145,7 +135,8 @@ def bucketed_hash_join(left, right, on: Sequence[str], how: str = "inner",
         out = pa.table(cols)
         return _reduced(out) if reduce is not None else out
 
-    return tagged.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+    return bucketed_group_transform(tagged, on, merge, n_buckets,
+                                    batch_format="pyarrow")
 
 
 def _degenerate_side(left, right, how: str):
@@ -163,10 +154,11 @@ def _degenerate_side(left, right, how: str):
     return None
 
 
-def _tag_union(left, right, key_cols: Sequence[str], n_buckets: int):
-    """Shared co-partitioning step: pad both sides to one union schema
-    (typed nulls), tag (side, bucket-of-key), union, coalesce.  Returns
-    (tagged_ds, left_cols, right_cols).
+def _tag_union(left, right):
+    """Shared co-partitioning input: pad both sides to one union schema
+    (typed nulls), tag each row's side, union.  Returns
+    (tagged_ds, left_cols, right_cols); the caller's
+    bucketed_group_transform then co-locates each key's rows.
 
     Cost note: resolving each side's schema on a lazy map plan runs a
     limit-1 probe (one block read per side, cached on the plan) — a
@@ -185,17 +177,13 @@ def _tag_union(left, right, key_cols: Sequence[str], n_buckets: int):
             cols = {c: (t.column(c).cast(types[c]) if c in t.column_names
                         else pa.nulls(t.num_rows, type=types[c]))
                     for c in all_cols}
-            b = bucket_column(pa.table({k: cols[k] for k in key_cols}),
-                              n_buckets, key_cols)
-            cols["__bucket"] = b
             cols["__side"] = pa.array(np.full(t.num_rows, side == "l"), pa.bool_())
             return pa.table(cols)
 
         return fn
 
     tagged = left.map_batches(tag("l"), batch_format="pyarrow").union(
-        right.map_batches(tag("r"), batch_format="pyarrow")) \
-        .repartition(n_buckets)
+        right.map_batches(tag("r"), batch_format="pyarrow"))
     return tagged, left_cols, right_cols
 
 
@@ -226,7 +214,7 @@ def asof_join(left, right, by: Sequence[str] | str, on: str,
     if deg is not None:
         return deg
     right_on = right_on or on
-    tagged, left_cols, right_cols = _tag_union(left, right, by, n_buckets)
+    tagged, left_cols, right_cols = _tag_union(left, right)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         lg = g[g["__side"]][left_cols].sort_values(on, kind="stable")
@@ -240,10 +228,7 @@ def asof_join(left, right, by: Sequence[str] | str, on: str,
             m = m[m["__m"].notna()]
         return m.drop(columns="__m")
 
-    from .aggregate import arrow_out
-
-    return tagged.groupby("__bucket").map_groups(arrow_out(merge),
-                                                 batch_format="pandas")
+    return bucketed_group_transform(tagged, by, merge, n_buckets)
 
 
 def range_join(left, right, left_ts: str, right_start: str, right_end: str,
@@ -293,7 +278,7 @@ def range_join(left, right, left_ts: str, right_start: str, right_end: str,
     lb = left.map_batches(bin_left, batch_format="pyarrow")
     rb = right.map_batches(explode_right, batch_format="pyarrow")
     key_cols = by + ["__bin"]
-    tagged, left_cols, right_cols = _tag_union(lb, rb, key_cols, n_buckets)
+    tagged, left_cols, right_cols = _tag_union(lb, rb)
 
     def merge(g: pa.Table) -> pa.Table:
         # same Arrow index-take composition as bucketed_hash_join, plus
@@ -323,7 +308,8 @@ def range_join(left, right, left_ts: str, right_start: str, right_end: str,
                        pc.less_equal(out.column(left_ts), out.column(re_)))
         return out.filter(keep).drop_columns(["__bin"])
 
-    return tagged.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+    return bucketed_group_transform(tagged, key_cols, merge, n_buckets,
+                                    batch_format="pyarrow")
 
 
 def _hot_keys(ds, col: str, k: int = 8, min_share: float = 0.02,

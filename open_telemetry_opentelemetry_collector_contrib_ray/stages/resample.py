@@ -38,7 +38,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import arrow_out
+from .aggregate import bucketed_group_transform
 from .join import _tag_union
 
 
@@ -96,7 +96,7 @@ def resample_ffill(ds, by: Sequence[str] | str, ts_col: str = "ts",
                             value_col: t.column(value_col)}),
         batch_format="pyarrow")
 
-    tagged, left_cols, right_cols = _tag_union(grid, obs, by, n_buckets)
+    tagged, left_cols, right_cols = _tag_union(grid, obs)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         lg = g[g["__side"]][left_cols].sort_values("__grid_us",
@@ -116,8 +116,7 @@ def resample_ffill(ds, by: Sequence[str] | str, ts_col: str = "ts",
         m["__grid_us"] = m["__grid_us"].astype("int64")
         return m
 
-    out = tagged.groupby("__bucket").map_groups(arrow_out(merge),
-                                                batch_format="pandas")
+    out = bucketed_group_transform(tagged, by, merge, n_buckets)
     return out.map_batches(
         lambda t: pa.table({**{c: t.column(c) for c in by},
                             "grid_ts": pc.cast(t.column("__grid_us"),
@@ -181,7 +180,7 @@ def resample_lerp(ds, by: Sequence[str] | str, ts_col: str = "ts",
                             value_col: t.column(value_col)}),
         batch_format="pyarrow")
 
-    tagged, left_cols, right_cols = _tag_union(grid, obs, by, n_buckets)
+    tagged, left_cols, right_cols = _tag_union(grid, obs)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         lg = g[g["__side"]][left_cols].sort_values("__grid_us",
@@ -210,8 +209,7 @@ def resample_lerp(ds, by: Sequence[str] | str, ts_col: str = "ts",
         m["__grid_us"] = m["__grid_us"].astype("int64")
         return m[by + ["__grid_us", value_col]]
 
-    out = tagged.groupby("__bucket").map_groups(arrow_out(merge),
-                                                batch_format="pandas")
+    out = bucketed_group_transform(tagged, by, merge, n_buckets)
     return out.map_batches(
         lambda t: pa.table({**{c: t.column(c) for c in by},
                             "grid_ts": pc.cast(t.column("__grid_us"),
@@ -252,7 +250,6 @@ def ewma_smooth(ds, by: Sequence[str] | str, value_col: str,
     """
     keys = [by] if isinstance(by, str) else list(by)
     order = [ts_col, *order_cols]
-    from .aggregate import bucketed_group_transform
 
     H = int(horizon)
     if not (1 <= H <= 32):
@@ -294,8 +291,6 @@ def ohlc_downsample(ds, key_cols, ts_col: str = "ts",
     groupby head/tail per bucket."""
     import pandas as pd
 
-    from .aggregate import bucketed_group_transform
-
     keys = list(key_cols)
     ties = list(tie_cols)
 
@@ -332,8 +327,6 @@ def seasonal_residuals(ds, key_cols, ts_col: str = "ts",
     searchsorted into the key's own sorted bucket array (sparse series
     stays sparse)."""
     import pandas as pd
-
-    from .aggregate import bucketed_group_transform
 
     keys = list(key_cols)
     if period_us % bucket_us:
@@ -389,8 +382,6 @@ def time_weighted_average(ds, key_cols, ts_col: str = "ts",
     co-partition, grouped shifts vectorized across keys."""
     import pandas as pd
 
-    from .aggregate import bucketed_group_transform
-
     keys = list(key_cols)
     ties = list(tie_cols)
 
@@ -430,8 +421,6 @@ def lag_align(ds, key_cols, ts_col: str = "ts", value_col: str = "value",
     ``grouped_pearson(keys, "v", "v_lag")`` for the exact-moment
     ACF(lag) — autocorrelation is just Pearson on the aligned pairs."""
     import pandas as pd
-
-    from .aggregate import bucketed_group_transform
 
     keys = list(key_cols)
 

@@ -271,12 +271,15 @@ def grouped_weighted_quantile(ds, key_cols, value_col: str,
     interpolation): the q-quantile is the smallest value whose
     cumulative weight reaches q of the total — selected by the integer
     cross-multiplication ``cumw * q_den >= q_num * total`` (q given as
-    a (num, den) pair or a float converted exactly via
-    ``float.as_integer_ratio``), so no float ever touches the
-    selection.  The weighted median of a corpus by token count, the
-    size-weighted latency percentile — the shapes plain quantiles get
-    wrong.  Weights must be positive int64.  ONE bucketed
-    co-partition; cumulative sums vectorized across keys."""
+    a (num, den) pair or a float reduced to the nearest fraction with
+    denominator <= 10^6, so 0.9 means 9/10), so no float ever touches
+    the selection; a group whose ``q_den * total`` would not fit int64
+    raises ValueError instead of wrapping.  The weighted median of a
+    corpus by token count, the size-weighted latency percentile — the
+    shapes plain quantiles get wrong.  Weights must be positive int64.
+    ONE bucketed co-partition; cumulative sums vectorized across keys."""
+    from fractions import Fraction
+
     import pandas as pd
 
     from .aggregate import bucketed_group_transform
@@ -287,10 +290,14 @@ def grouped_weighted_quantile(ds, key_cols, value_col: str,
         if isinstance(q, tuple):
             num, den = q
         else:
-            num, den = float(q).as_integer_ratio()
+            # as_integer_ratio would give denominators up to 2^53, so
+            # cumw * den wraps int64 past ~1k of total weight
+            f = Fraction(float(q)).limit_denominator(10**6)
+            num, den = f.numerator, f.denominator
         if not (0 < num <= den):
             raise ValueError(f"quantile must be in (0, 1]: {q}")
         q_pairs.append((int(num), int(den), float(num) / float(den)))
+    max_den = max((den for _, den, _ in q_pairs), default=1)
 
     def wq(g: pd.DataFrame) -> pd.DataFrame:
         w = g[weight_col].astype("int64")
@@ -303,7 +310,10 @@ def grouped_weighted_quantile(ds, key_cols, value_col: str,
                                                      sort=False).cumsum()
         tot = g[weight_col].astype("int64").groupby(gk, sort=False) \
             .transform("sum")
-        pos = g.groupby(keys, sort=False).cumcount()
+        if int(tot.max()) * max_den > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"quantile denominator {max_den} x group weight "
+                f"{int(tot.max())} overflows int64; pass a coarser q")
         outs = []
         for num, den, qf in q_pairs:
             # smallest row with cumw*den >= num*tot: rows after it have

@@ -67,7 +67,13 @@ def hash64(data, cols=None, seed: int = 0) -> np.ndarray:
 
 
 def bucket_column(data, n_buckets: int, cols=None) -> pa.Array:
-    """hash64 % n_buckets as an int32 arrow array (the shuffle key)."""
+    """hash64 % n_buckets as an int32 arrow array (the shuffle key).
+
+    A table keyed by ONE column buckets exactly as that column does, so
+    each key has a single bucket function whichever form the caller
+    passes."""
+    if isinstance(data, pa.Table) and cols is not None and len(cols) == 1:
+        data, cols = data.column(cols[0]), None
     n = data.num_rows if isinstance(data, pa.Table) else len(data)
     if n == 0:
         return pa.array([], pa.int32())

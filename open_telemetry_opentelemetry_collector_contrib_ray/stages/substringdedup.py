@@ -11,7 +11,7 @@ the corpus produces >= 1 duplicated w-token window.  The pipeline:
    (doc_id, pos, h) triple per window.  ONLY 24-byte triples ever
    shuffle — never document text — so the exchange at 100 TB is ~2% of
    the corpus bytes rather than a full-text all-to-all.
-2. Bucket exchange (the repo's LSH idiom): `__bucket = h % B`, one
+2. Bucket exchange (`bucketed_group_transform` keyed by h): one
    shuffle co-locates all occurrences of a hash, then ONE vectorized
    pandas pass per bucket keeps hashes with >= 2 occurrences and marks
    the global keeper (min (doc_id, pos)) per hash.
@@ -37,6 +37,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .aggregate import bucketed_group_transform
 from .decontam import _TOKEN_RE  # [a-z0-9_]+ on lowered text: exact
 # parity with the DuckDB oracle's regexp_extract_all (RE2 ASCII classes)
 from .dedup import _P1, _P2, _P3, _TokenHasher
@@ -147,16 +148,6 @@ def duplicate_windows(ds, w: int = 8, id_col: str = "doc_id",
             w=w, id_col=id_col, text_col=text_col),
         batch_format="pyarrow", batch_size=8192, concurrency=(1, 24))
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = np.asarray(t.column("h"), dtype=np.uint64)
-        return t.append_column(
-            "__bucket",
-            pa.array(((h * np.uint64(0xFF51AFD7ED558CCD)) >> np.uint64(40))
-                     .astype(np.int64) % n_buckets))
-
-    bucketed = wins.map_batches(add_bucket, batch_format="pyarrow") \
-        .repartition(n_buckets)  # coalesce before the sort shuffle
-
     def dups_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({id_col: pd.Series([], dtype="int64"),
                               "pos": pd.Series([], dtype="int64"),
@@ -174,10 +165,7 @@ def duplicate_windows(ds, w: int = 8, id_col: str = "doc_id",
                             "keeper": first.to_numpy()})
         return out
 
-    from .aggregate import arrow_out
-
-    out = bucketed.groupby("__bucket").map_groups(arrow_out(dups_in_bucket),
-                                                  batch_format="pandas")
+    out = bucketed_group_transform(wins, ["h"], dups_in_bucket, n_buckets)
     if not keep_keeper:
         out = out.map_batches(lambda t: t.select([id_col, "pos"]),
                               batch_format="pyarrow")
@@ -295,24 +283,17 @@ def dedup_substrings(ds_factory, w: int = 8, id_col: str = "doc_id",
                     else "join")
     if strategy == "join":
         from .join import bucketed_hash_join
-        from .sample import bucket_column
 
         # global per-doc grouping of cut positions (bucket exchange: a
         # doc's windows can span emit batches, so per-batch grouping
         # would hand the join multiple list rows for one doc)
-        def add_b(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "__bucket", bucket_column(t, n_buckets, [id_col]))
-
         def group_doc(t: pa.Table) -> pa.Table:
-            t = t.select([id_col, "pos"])
             g = t.group_by([id_col]).aggregate([("pos", "list")])
             return pa.table({id_col: g.column(id_col),
                              "__cut_pos": g.column("pos_list")})
 
-        cuts = non_keeper.map_batches(add_b, batch_format="pyarrow") \
-            .repartition(n_buckets) \
-            .groupby("__bucket").map_groups(group_doc, batch_format="pyarrow")
+        cuts = bucketed_group_transform(non_keeper, [id_col], group_doc,
+                                        n_buckets, batch_format="pyarrow")
         joined = bucketed_hash_join(ds_factory(), cuts, on=[id_col],
                                     how="left", n_buckets=n_buckets)
         return joined.map_batches(

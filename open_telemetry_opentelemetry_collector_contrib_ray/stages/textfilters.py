@@ -38,7 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import arrow_out
+from .aggregate import bucketed_group_transform
 
 # C4's terminal-punctuation rule; RE2 `$` = end-of-text on a single line
 TERMINAL_PUNCT_PAT = '[.!?"]$'
@@ -492,18 +492,8 @@ def dedup_lines(ds_factory, id_col: str = "doc_id", text_col: str = "text",
         whole = pa.concat_tables(ray.get(triples.to_arrow_refs()))
         cut_df = cuts_in_bucket(whole.to_pandas())
     else:
-        def add_bucket(t: pa.Table) -> pa.Table:
-            h = np.asarray(t.column("h"), dtype=np.uint64)
-            return t.append_column(
-                "__bucket",
-                pa.array(((h * np.uint64(0xFF51AFD7ED558CCD))
-                          >> np.uint64(40)).astype(np.int64) % n_buckets))
-
-        bucketed = triples.map_batches(add_bucket, batch_format="pyarrow") \
-            .repartition(n_buckets)
-        cut_ds = bucketed.groupby("__bucket") \
-            .map_groups(arrow_out(cuts_in_bucket), batch_format="pandas") \
-            .materialize()
+        cut_ds = bucketed_group_transform(triples, ["h"], cuts_in_bucket,
+                                          n_buckets).materialize()
 
     if strategy == "auto":
         n_cuts = len(cut_df) if cut_df is not None else cut_ds.count()
@@ -513,29 +503,21 @@ def dedup_lines(ds_factory, id_col: str = "doc_id", text_col: str = "text",
         import ray.data as rd
 
         from .join import bucketed_hash_join
-        from .sample import bucket_column
 
         if cut_ds is None:
             cut_ds = rd.from_arrow(pa.Table.from_pandas(
                 cut_df, preserve_index=False))
 
-        def add_b(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "__bucket", bucket_column(t, n_buckets, [id_col]))
-
         # global per-doc grouping (bucket exchange: one doc's cuts can
         # span emit batches, so per-batch grouping would hand the join
         # multiple list rows for one doc)
         def group_doc(t: pa.Table) -> pa.Table:
-            t = t.select([id_col, "line_idx"])
             g = t.group_by([id_col]).aggregate([("line_idx", "list")])
             return pa.table({id_col: g.column(id_col),
                              "__cut_lines": g.column("line_idx_list")})
 
-        cuts = cut_ds.map_batches(add_b, batch_format="pyarrow") \
-            .repartition(n_buckets) \
-            .groupby("__bucket").map_groups(group_doc,
-                                            batch_format="pyarrow")
+        cuts = bucketed_group_transform(cut_ds, [id_col], group_doc,
+                                        n_buckets, batch_format="pyarrow")
         joined = bucketed_hash_join(ds_factory(), cuts, on=[id_col],
                                     how="left", n_buckets=n_buckets)
         return joined.map_batches(

@@ -65,3 +65,22 @@ def test_read_prunes_at_the_read(tmp_path):
         [(v1, {"eid": "event_id", "uid": "user_id"})], TARGET)
     out = ds.take_all()
     assert out[0]["user_id"] == 5 and out[0]["cents"] is None
+
+
+def test_read_group_prunes_to_columns_every_file_has(tmp_path):
+    # the group's SECOND file lacks `cents`: the prune list intersects
+    # every file's footer, so the column null-fills instead of raising
+    a = _write(tmp_path, "a.parquet", pa.table({
+        "event_id": pa.array([1], pa.int64()),
+        "user_id": pa.array([5], pa.int64()),
+        "kind": pa.array(["k"], pa.string()),
+        "cents": pa.array([100], pa.int64())}))
+    b = _write(tmp_path, "b.parquet", pa.table({
+        "event_id": pa.array([2], pa.int64()),
+        "user_id": pa.array([6], pa.int64()),
+        "kind": pa.array(["m"], pa.string())}))
+    ds = read_parquet_evolved([([a, b], None)], TARGET)
+    rows = sorted(ds.take_all(), key=lambda r: r["event_id"])
+    assert [r["user_id"] for r in rows] == [5, 6]
+    assert [r["cents"] for r in rows] == [None, None]
+    assert set(ds.schema().names) == set(TARGET.names)

@@ -29,6 +29,35 @@ def test_tcp_replay_roundtrip_batch100():
     assert got == lines
 
 
+def test_drain_stream_multibyte_split_across_chunks():
+    from open_telemetry_opentelemetry_collector_contrib_ray.sources.push import (
+        _drain_stream,
+    )
+
+    # "é" is b"\xc3\xa9": the first chunk ends mid-character
+    chunks = iter([b"caf\xc3", b"\xa9\nna\xc3", b"\xafve", b""])
+    tables = _drain_stream(lambda: next(chunks), None, 64, "utf-8")
+    assert pa.concat_tables(tables).column("text").to_pylist() == \
+        ["caf\u00e9", "na\u00efve"]
+
+
+def test_tcp_replay_survives_early_disconnect():
+    import socket
+
+    # enough bytes that the server is still sending when client 1 leaves
+    lines = [f"line-{i:06d} " + "x" * 48 for i in range(200_000)]
+    port, stop = serve_lines_tcp(lines, batch=100)
+    try:
+        early = socket.create_connection(("127.0.0.1", port), timeout=10)
+        early.recv(1024)
+        early.close()  # unread data queued -> the server's send fails
+        ds = read_tcp_log("127.0.0.1", port, block_lines=65_536)
+        got = ds.to_pandas()["text"].tolist()
+    finally:
+        stop.set()
+    assert got == lines
+
+
 def test_tcp_replay_max_records_and_attributes():
     lines = ["a", "b", "c", "d"]
     port, stop = serve_lines_tcp(lines, batch=1)

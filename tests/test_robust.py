@@ -1,5 +1,6 @@
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from open_telemetry_opentelemetry_collector_contrib_ray.stages.robust import (
@@ -204,6 +205,24 @@ def test_grouped_weighted_quantile_exact():
         rd.from_arrow(t.filter(pa.compute.equal(t.column("k"), "b"))),
         ["k"], "v", "w", [(1, 3)]).take_all()}
     assert out2[1 / 3] == 5
+    # a float q over a heavy group: total weight 10,000 wrapped int64
+    # when 0.9 became a 2^53-denominator ratio; it must select exactly
+    # as the rational (9, 10) does (cum weight 9,000 -> value 89)
+    heavy = rd.from_arrow(pa.table({
+        "k": pa.array(["c"] * 100, pa.string()),
+        "v": pa.array(range(100), pa.int64()),
+        "w": pa.array([100] * 100, pa.int64()),
+    }))
+    [as_float] = grouped_weighted_quantile(heavy, ["k"], "v", "w",
+                                           [0.9], n_buckets=4).take_all()
+    [as_tuple] = grouped_weighted_quantile(heavy, ["k"], "v", "w",
+                                           [(9, 10)], n_buckets=4).take_all()
+    assert as_float == as_tuple
+    assert as_float["value"] == 89
+    # a denominator that cannot fit den * total in int64 raises, not wraps
+    with pytest.raises(ValueError, match="overflows int64"):
+        grouped_weighted_quantile(heavy, ["k"], "v", "w", [(1, 2**62)],
+                                  n_buckets=4).take_all()
 
 
 def test_grouped_weighted_quantile_validation():

@@ -6,6 +6,7 @@ Usage: python tools/check_oracle.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
@@ -31,8 +32,8 @@ def main():
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 logging_level="ERROR")
+        ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+                 include_dashboard=False, logging_level="ERROR")
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
